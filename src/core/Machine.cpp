@@ -588,24 +588,29 @@ ErrorOr<RunResult> Machine::runThreaded() {
   prepareRun();
   RunBaseline Base = sampleBaseline();
 
+  // vCPU 0 runs on the calling thread, which would otherwise only sit in
+  // join(): a 1-vCPU job starts no host thread at all, an N-vCPU job
+  // starts N-1.
+  const unsigned NumCpus = Config.NumThreads;
   std::vector<std::thread> Threads;
-  std::vector<ErrorOr<RunStatus>> Statuses(Config.NumThreads,
+  std::vector<ErrorOr<RunStatus>> Statuses(NumCpus,
                                            ErrorOr<RunStatus>(
                                                RunStatus::Halted));
   // Start gate: guest threads must overlap in time, not run back-to-back
   // as their host threads happen to get spawned (essential on few-core
-  // hosts where a whole workload can fit in one scheduling quantum).
-  std::atomic<unsigned> Ready{0};
+  // hosts where a whole workload can fit in one scheduling quantum). The
+  // caller counts itself in up front.
+  std::atomic<unsigned> Ready{1};
   std::atomic<bool> Go{false};
-  Threads.reserve(Config.NumThreads);
-  for (unsigned Tid = 0; Tid < Config.NumThreads; ++Tid)
+  Threads.reserve(NumCpus - 1);
+  for (unsigned Tid = 1; Tid < NumCpus; ++Tid)
     Threads.emplace_back([this, Tid, &Statuses, &Ready, &Go] {
       Ready.fetch_add(1, std::memory_order_acq_rel);
       while (!Go.load(std::memory_order_acquire))
         std::this_thread::yield();
       Statuses[Tid] = Exec->runCpu(Cpus[Tid]);
     });
-  while (Ready.load(std::memory_order_acquire) != Config.NumThreads)
+  while (Ready.load(std::memory_order_acquire) != NumCpus)
     std::this_thread::yield();
 
   // The adaptive controller is a plain host thread beside the vCPUs; it
@@ -620,6 +625,7 @@ ErrorOr<RunResult> Machine::runThreaded() {
 
   uint64_t WallStart = monotonicNanos();
   Go.store(true, std::memory_order_release);
+  Statuses[0] = Exec->runCpu(Cpus[0]);
   for (std::thread &Thread : Threads)
     Thread.join();
   uint64_t WallEnd = monotonicNanos();

@@ -23,7 +23,8 @@
 ///   auto MachineOrErr = Machine::create(Config);
 ///   auto &M = **MachineOrErr;
 ///   M.loadAssembly(Source);           // or loadProgram(Program)
-///   auto Result = M.run({});          // one host thread per guest thread
+///   auto Result = M.run({});          // one host thread per guest thread;
+///                                     // vCPU 0 is the calling thread
 ///   printf("%f s, %llu SC failures\n", Result->WallSeconds,
 ///          Result->Total.StoreCondFailures);
 ///   M.reset();                        // ready for the next job
@@ -107,10 +108,12 @@ struct MachineConfig {
 /// How run(const RunOptions &) drives the vCPUs, and the per-run knobs
 /// that used to be spread across three run* entry points. A
 /// default-constructed RunOptions reproduces the classic run(): one host
-/// thread per vCPU, budgets from MachineConfig.
+/// thread per vCPU (vCPU 0 on the calling thread), budgets from
+/// MachineConfig.
 struct RunOptions {
   enum class Mode {
-    Threaded,    ///< One host thread per vCPU (production mode).
+    Threaded,    ///< One host thread per vCPU (production mode); vCPU 0
+                 ///< runs on the caller, vCPUs 1..N-1 on spawned threads.
     Cooperative, ///< Single host thread, round-robin in tid order.
     Scheduled,   ///< Single host thread under an external controller.
   };
@@ -200,6 +203,11 @@ public:
   /// either side can end the run early (Opts.Sched by returning a
   /// negative tid, Opts.Observer by returning false); RunResult.AllHalted
   /// then reflects the actual vCPU states.
+  ///
+  /// Every mode executes guest code on the calling thread: Threaded runs
+  /// vCPU 0 there and spawns one host thread for each further vCPU, so a
+  /// 1-vCPU run starts no thread. Any thread may call run(); one run at a
+  /// time per Machine.
   ErrorOr<RunResult> run(const RunOptions &Opts);
 
   /// Restores machine-neutral state so the same Machine can serve another

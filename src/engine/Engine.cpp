@@ -623,8 +623,12 @@ ErrorOr<RunStatus> Engine::runLoop(VCpu &Cpu, uint64_t MaxBlocks,
       // be retired, carrying the *old* scheme's instrumentation (and
       // possibly freed at the next swap). At the loop top Block's pc is
       // Cpu.Pc, so re-resolve before touching it. Costs nothing on the
-      // non-parked fast path.
+      // non-parked fast path. A pending chain site belongs to the old
+      // generation's code region, which by now may be live again as a
+      // recycled one (or a fresh mapping at the same address) holding
+      // other code: drop it rather than patch through it.
       if (LLSC_UNLIKELY(Cache->generation() != Cpu.JmpCache.Generation)) {
+        Cpu.JitPendingPatch = 0;
         BlockOrErr = LookupJmpCached(Cpu.Pc);
         if (!BlockOrErr)
           return BlockOrErr.error();

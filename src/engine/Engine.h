@@ -12,7 +12,9 @@
 ///
 /// Two driving modes:
 ///  - runCpu(): run until HALT; one host thread per vCPU (the
-///    multi-threaded emulation mode whose scalability Fig. 10 studies);
+///    multi-threaded emulation mode whose scalability Fig. 10 studies —
+///    Machine runs vCPU 0 on its caller's thread, the rest on spawned
+///    ones);
 ///  - stepBlocks(): run a bounded number of blocks, used by the
 ///    cooperative round-robin runner that replays the deterministic
 ///    interleavings of Section IV-A's litmus sequences.

@@ -86,8 +86,14 @@ std::unique_ptr<CodeCache> CodeCache::create(size_t Bytes) {
 
   std::memcpy(Cache->WriteBase, Em.data(), Em.size());
   Cache->EpilogueOffset = Epilogue;
-  Cache->Cursor = (Em.size() + 15) & ~static_cast<size_t>(15);
+  Cache->CodeStart = (Em.size() + 15) & ~static_cast<size_t>(15);
+  Cache->Cursor = Cache->CodeStart;
   return Cache;
+}
+
+void CodeCache::recycle() {
+  std::memset(WriteBase + CodeStart, 0xCC, Cursor - CodeStart);
+  Cursor = CodeStart;
 }
 
 CodeCache::~CodeCache() {

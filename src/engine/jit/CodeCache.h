@@ -23,7 +23,9 @@
 /// region stops compilation for the rest of the generation (execution
 /// continues — new blocks just stay on tier-0). On TbCache flush the
 /// whole region is retired with the blocks that reference it and reaped
-/// under the same quiescence rules (Jit::onTbFlush / reapRetired).
+/// under the same quiescence rules (Jit::onTbFlush / onTbReapRetired);
+/// one reaped region is kept and recycle()d for the next generation, so
+/// a steady stream of flushes maps no new memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +87,13 @@ public:
   /// region). Safe while other threads execute the site.
   void patchChain(uintptr_t SiteExecAddr, uintptr_t TargetExecAddr);
 
+  /// Empties the region for reuse by a new generation: the used block
+  /// area is filled with int3 (0xCC) so a stale jump into it traps
+  /// instead of running old code, and the cursor rewinds to just past the
+  /// trampoline and epilogue, which stay. Only for a region no vCPU can
+  /// reach any more (reaped — its blocks are freed).
+  void recycle();
+
   /// \returns true when \p ExecAddr points into this region's executable
   /// view.
   bool contains(uintptr_t ExecAddr) const {
@@ -103,6 +112,7 @@ private:
   uint8_t *ExecBase = nullptr;  ///< RX view (vCPUs).
   size_t Size = 0;
   size_t Cursor = 0;
+  size_t CodeStart = 0; ///< First block offset (past trampoline+epilogue).
   size_t EpilogueOffset = 0;
 };
 

@@ -99,13 +99,25 @@ void Jit::onTbFlush() {
   std::lock_guard<std::mutex> Lock(InstallMutex);
   if (Active)
     Retired.push_back(std::move(Active));
-  // A fresh region for the new generation; on allocation failure the JIT
-  // idles (codeFor still runs, but installs fail the serial/Active checks).
-  Active = CodeCache::create(Config.CodeBytes);
+  // The new generation's region: the spare from the last reap, emptied,
+  // or else a fresh one. On allocation failure the JIT idles (codeFor
+  // still runs, but installs fail the serial/Active checks).
+  if (Spare) {
+    Spare->recycle();
+    Active = std::move(Spare);
+  } else {
+    Active = CodeCache::create(Config.CodeBytes);
+  }
   RegionSerial.fetch_add(1, std::memory_order_release);
 }
 
 void Jit::onTbReapRetired() {
   std::lock_guard<std::mutex> Lock(InstallMutex);
+  // The blocks pointing into retired regions are freed by now; keep one
+  // region for the next flush instead of unmapping it.
+  if (!Spare && !Retired.empty()) {
+    Spare = std::move(Retired.back());
+    Retired.pop_back();
+  }
   Retired.clear();
 }

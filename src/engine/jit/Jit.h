@@ -17,7 +17,8 @@
 ///    tier state is atomic, installs serialize on one mutex.
 ///  - onTbFlush runs only while no vCPU executes (quiescence floor or no
 ///    threads started), so swapping the active region is race-free.
-///  - onTbReapRetired frees retired regions under the same guarantee.
+///  - onTbReapRetired frees retired regions under the same guarantee,
+///    keeping one as the spare that the next onTbFlush recycles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,6 +125,10 @@ private:
   /// Regions retired by onTbFlush, freed by onTbReapRetired — mirrors
   /// TbCache's retire-don't-free discipline for blocks.
   std::vector<std::unique_ptr<CodeCache>> Retired;
+
+  /// One reaped region kept for reuse: the next onTbFlush recycles it
+  /// instead of mapping a fresh one (docs/JIT.md "Code cache lifecycle").
+  std::unique_ptr<CodeCache> Spare;
 
   /// Serializes install() calls and guards the compile-vs-flush race.
   std::mutex InstallMutex;

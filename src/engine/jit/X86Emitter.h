@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace llsc {
@@ -71,6 +72,10 @@ enum Cond : uint8_t {
 /// Byte-buffer machine-code writer.
 class X86Emitter {
 public:
+  /// Starts with room for a typical block so emission does not regrow
+  /// the buffer as it goes.
+  X86Emitter() { Buf.reserve(InitialCapacity); }
+
   const uint8_t *data() const { return Buf.data(); }
   size_t size() const { return Buf.size(); }
 
@@ -81,14 +86,10 @@ public:
     emit8(static_cast<uint8_t>(V));
     emit8(static_cast<uint8_t>(V >> 8));
   }
-  void emit32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      emit8(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void emit64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      emit8(static_cast<uint8_t>(V >> (8 * I)));
-  }
+  // Immediates are little-endian, as is the (x86-64) host, so a plain
+  // copy of the value's bytes is the encoding.
+  void emit32(uint32_t V) { emitBytes(&V, sizeof(V)); }
+  void emit64(uint64_t V) { emitBytes(&V, sizeof(V)); }
 
   void nop() { emit8(0x90); }
 
@@ -560,6 +561,13 @@ private:
       emit32(static_cast<uint32_t>(Disp));
   }
 
+  void emitBytes(const void *Src, size_t Bytes) {
+    size_t At = Buf.size();
+    Buf.resize(At + Bytes);
+    std::memcpy(Buf.data() + At, Src, Bytes);
+  }
+
+  static constexpr size_t InitialCapacity = 4096;
   std::vector<uint8_t> Buf;
 };
 

@@ -7,6 +7,7 @@
 #include "ir/Optimizer.h"
 
 #include <cassert>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -234,19 +235,19 @@ OptStats ir::foldConstants(IRBlock &Block) {
 
 OptStats ir::propagateCopies(IRBlock &Block) {
   OptStats Stats;
-  // CopyOf[V] = S means V currently holds the same value as S.
+  // CopyOf[V] = S means V holds the same value as S — valid only while S
+  // has not been redefined since, i.e. while CopyGen[V] == DefGen[S].
+  // Redefining S bumps DefGen[S], which invalidates every copy of S at
+  // once instead of scanning all values for them. A value that is no
+  // copy is its own source.
   std::vector<ValueId> CopyOf(Block.NumValues);
-  std::vector<bool> HasCopy(Block.NumValues, false);
+  std::iota(CopyOf.begin(), CopyOf.end(), ValueId(0));
+  std::vector<uint32_t> CopyGen(Block.NumValues, 0);
+  std::vector<uint32_t> DefGen(Block.NumValues, 0);
 
   auto Resolve = [&](ValueId V) {
     // Single-step resolution is enough because we canonicalize on insert.
-    return HasCopy[V] ? CopyOf[V] : V;
-  };
-  auto InvalidateDef = [&](ValueId Def) {
-    HasCopy[Def] = false;
-    for (ValueId V = 0; V < Block.NumValues; ++V)
-      if (HasCopy[V] && CopyOf[V] == Def)
-        HasCopy[V] = false;
+    return CopyGen[V] == DefGen[CopyOf[V]] ? CopyOf[V] : V;
   };
 
   for (IRInst &I : Block.Insts) {
@@ -267,11 +268,12 @@ OptStats ir::propagateCopies(IRBlock &Block) {
       }
     }
     if (writesDst(I.Op)) {
-      InvalidateDef(I.Dst);
-      if (I.Op == IROp::Mov && I.A != I.Dst) {
-        CopyOf[I.Dst] = Resolve(I.A);
-        HasCopy[I.Dst] = true;
-      }
+      ++DefGen[I.Dst];
+      ValueId Src = I.Dst;
+      if (I.Op == IROp::Mov && I.A != I.Dst)
+        Src = Resolve(I.A);
+      CopyOf[I.Dst] = Src;
+      CopyGen[I.Dst] = DefGen[Src];
     }
   }
   return Stats;

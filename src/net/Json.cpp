@@ -216,13 +216,18 @@ private:
       return fail("expected string");
     std::string Out;
     while (Pos < Text.size()) {
+      // Copy the run of plain bytes up to the next quote or escape in
+      // one append.
+      size_t RunEnd = Text.find_first_of("\"\\", Pos);
+      if (RunEnd == std::string_view::npos)
+        RunEnd = Text.size();
+      Out.append(Text.data() + Pos, RunEnd - Pos);
+      Pos = RunEnd;
+      if (Pos >= Text.size())
+        break;
       char C = Text[Pos++];
       if (C == '"')
         return Out;
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
       if (Pos >= Text.size())
         break;
       char E = Text[Pos++];

@@ -174,11 +174,19 @@ void Session::onJobComplete(const JobResult &Result) {
     std::lock_guard<std::mutex> Lock(Mutex);
     Active.erase(Result.JobId);
     Terminal[Result.JobId] = Result.State;
+    TerminalOrder.push_back(Result.JobId);
     Ready.push_back(Result);
     if (Config.MaxBufferedResults &&
         Ready.size() > Config.MaxBufferedResults) {
       Ready.pop_front();
       ++Dropped;
+    }
+    // A long-lived session would otherwise remember every job it ever
+    // ran; keep only the newest finished states.
+    if (Config.MaxBufferedResults &&
+        TerminalOrder.size() > Config.MaxBufferedResults) {
+      Terminal.erase(TerminalOrder.front());
+      TerminalOrder.pop_front();
     }
     if (Closed && Active.empty())
       finishCloseLocked();

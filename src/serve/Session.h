@@ -50,7 +50,9 @@ struct SessionConfig {
   /// queue still backpressures).
   unsigned MaxInFlight = 0;
   /// Completed results buffered for stream(); beyond it the oldest
-  /// buffered result is dropped (counted in droppedResults()).
+  /// buffered result is dropped (counted in droppedResults()). The same
+  /// bound caps the finished-job states poll() remembers: the oldest is
+  /// forgotten, and polling it answers nullopt. 0 = unbounded.
   size_t MaxBufferedResults = 1024;
 };
 
@@ -87,7 +89,8 @@ public:
 
   /// Live state of job \p JobId (Queued/Running while in flight, the
   /// terminal state after), or nullopt for an id this session never
-  /// admitted.
+  /// admitted or whose terminal state has been evicted (only the newest
+  /// MaxBufferedResults finished jobs are remembered).
   std::optional<JobState> poll(uint64_t JobId) const;
 
   /// Collects up to \p Max buffered results in completion order,
@@ -142,6 +145,7 @@ private:
   std::map<uint64_t, JobHandle> Active; ///< In-flight, by job id.
   std::deque<JobResult> Ready;          ///< Completed, awaiting stream().
   std::map<uint64_t, JobState> Terminal; ///< Final state by job id.
+  std::deque<uint64_t> TerminalOrder;    ///< Terminal's ids, oldest first.
   std::map<std::string, std::shared_ptr<const MachineSnapshot>> Snapshots;
   std::function<void()> Notifier;
   bool Closed = false;

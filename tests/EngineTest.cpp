@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <thread>
+
 using namespace llsc;
 
 namespace {
@@ -339,6 +341,47 @@ TEST(Engine, PstRemapFaultsCorrectlyWithFastMem) {
             800u)
       << "a lost increment means a plain access bypassed the remap fault";
   EXPECT_GT(Result->Events.RemapCalls, 0u);
+}
+
+TEST(Engine, PstFaultRecoveryOnAPlainCallerThread) {
+  // vCPU 0 runs on the thread that calls run(); PST's fault recovery
+  // (a per-thread jump buffer the SIGSEGV handler longjmps through) must
+  // work there like on an engine-spawned thread. Store-between: the LL
+  // protects the page, the plain store inside the window faults.
+  MachineConfig Config;
+  Config.Scheme = SchemeKind::Pst;
+  Config.NumThreads = 1;
+  Config.MemBytes = 8ULL << 20;
+  auto M = Machine::create(Config).take();
+  ASSERT_TRUE(bool(M->loadAssembly(R"(
+_start: la      r1, counter
+        la      r6, noise
+        li      r4, #50
+loop:   cbz     r4, done
+retry:  ldxr.d  r2, [r1]
+        addi    r2, r2, #1
+        std     r2, [r6]
+        stxr.d  r3, r2, [r1]
+        cbnz    r3, retry
+        addi    r4, r4, #-1
+        b       loop
+done:   halt
+        .align 4096
+counter: .quad 0
+noise:   .quad 0
+)")));
+  ErrorOr<RunResult> Result = makeError("not run");
+  std::thread Caller([&] { Result = M->run({}); });
+  Caller.join();
+  ASSERT_TRUE(bool(Result)) << Result.error().render();
+  EXPECT_TRUE(Result->AllHalted);
+  EXPECT_EQ(M->mem().shadowLoad(M->program().requiredSymbol("counter"), 8),
+            50u);
+  EXPECT_EQ(M->mem().shadowLoad(M->program().requiredSymbol("noise"), 8),
+            50u);
+  EXPECT_EQ(Result->Events.ScSucceeded, 50u);
+  EXPECT_GT(Result->RecoveredFaults, 0u)
+      << "the in-window store must have faulted and been recovered";
 }
 
 TEST(Engine, FastMemDisabledWhilePagesRestricted) {

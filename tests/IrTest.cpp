@@ -233,6 +233,95 @@ TEST(IrOptimizer, CopyPropInvalidatedByRedefinition) {
   EXPECT_TRUE(Found) << printBlock(Block);
 }
 
+namespace {
+
+/// The copy-propagation pass as it was before definition generations:
+/// every definition scans all values for copies of the redefined one.
+/// Kept as the reference the linear pass must match exactly. Handles the
+/// op subset copyPropBlock() emits.
+OptStats quadraticPropagateCopies(IRBlock &Block) {
+  OptStats Stats;
+  std::vector<ValueId> CopyOf(Block.NumValues);
+  std::vector<bool> HasCopy(Block.NumValues, false);
+  auto Resolve = [&](ValueId V) { return HasCopy[V] ? CopyOf[V] : V; };
+  auto InvalidateDef = [&](ValueId Def) {
+    HasCopy[Def] = false;
+    for (ValueId V = 0; V < Block.NumValues; ++V)
+      if (HasCopy[V] && CopyOf[V] == Def)
+        HasCopy[V] = false;
+  };
+  for (IRInst &I : Block.Insts) {
+    bool ReadsA = I.Op == IROp::Mov || I.Op == IROp::AddImm ||
+                  I.Op == IROp::Add || I.Op == IROp::Sub ||
+                  I.Op == IROp::Xor;
+    bool ReadsB = I.Op == IROp::Add || I.Op == IROp::Sub || I.Op == IROp::Xor;
+    if (ReadsA && Resolve(I.A) != I.A) {
+      I.A = Resolve(I.A);
+      ++Stats.CopiesPropagated;
+    }
+    if (ReadsB && Resolve(I.B) != I.B) {
+      I.B = Resolve(I.B);
+      ++Stats.CopiesPropagated;
+    }
+    if (writesDst(I.Op)) {
+      InvalidateDef(I.Dst);
+      if (I.Op == IROp::Mov && I.A != I.Dst) {
+        CopyOf[I.Dst] = Resolve(I.A);
+        HasCopy[I.Dst] = true;
+      }
+    }
+  }
+  return Stats;
+}
+
+/// A long block over a few guest registers and temps that are copied and
+/// redefined over and over — copy chains, self-moves, copies of copies.
+IRBlock copyPropBlock(Rng &R, unsigned Insts) {
+  IRBuilder B(0x1000);
+  std::vector<ValueId> Values;
+  for (unsigned Reg = 1; Reg <= 6; ++Reg)
+    Values.push_back(IRBuilder::guestReg(Reg));
+  for (int T = 0; T < 10; ++T)
+    Values.push_back(B.emitMovImm(T));
+  auto Pick = [&] { return Values[R.nextBelow(Values.size())]; };
+  const IROp BinOps[] = {IROp::Add, IROp::Sub, IROp::Xor};
+  for (unsigned N = 0; N < Insts; ++N) {
+    switch (R.nextBelow(5)) {
+    case 0:
+    case 1:
+      B.emitMovTo(Pick(), Pick());
+      break;
+    case 2:
+      B.emitMovImmTo(Pick(), static_cast<int64_t>(R.nextBelow(100)));
+      break;
+    case 3:
+      B.emitBinImmTo(IROp::AddImm, Pick(), Pick(), 3);
+      break;
+    default:
+      B.emitBinTo(BinOps[R.nextBelow(std::size(BinOps))], Pick(), Pick(),
+                  Pick());
+      break;
+    }
+  }
+  B.emitSetPcImm(0x2000);
+  return B.take();
+}
+
+} // namespace
+
+TEST(IrOptimizer, CopyPropMatchesQuadraticReferenceOnLongBlocks) {
+  Rng R(0xc0b1e5);
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    IRBlock Linear = copyPropBlock(R, 500 + 100 * Trial);
+    IRBlock Reference = Linear;
+    OptStats LinearStats = propagateCopies(Linear);
+    OptStats ReferenceStats = quadraticPropagateCopies(Reference);
+    ASSERT_EQ(printBlock(Linear), printBlock(Reference)) << "trial " << Trial;
+    EXPECT_EQ(LinearStats.CopiesPropagated, ReferenceStats.CopiesPropagated);
+    EXPECT_GT(LinearStats.CopiesPropagated, 0u);
+  }
+}
+
 TEST(IrOptimizer, BrCondConstantFolding) {
   {
     // Always-taken branch becomes the terminator.

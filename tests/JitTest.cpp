@@ -13,9 +13,11 @@
 /// and the timing-dependent excl.wait_ns / excl.safepoint_parks).
 ///
 /// Also covered: the PST fastmem fault→deopt path, deopt/re-tier across a
-/// runtime scheme hot-swap (setScheme mid-run flushes the code cache), the
-/// block-budget contract under chained execution, and the W^X policy of
-/// the dual-mapped code cache (/proc/self/maps must never show rwx).
+/// runtime scheme hot-swap (setScheme mid-run flushes the code cache), a
+/// stale chain patch carried across two swaps into a recycled region, the
+/// block-budget contract under chained execution, the W^X policy of the
+/// dual-mapped code cache (/proc/self/maps must never show rwx), and code
+/// region recycling across cold reloads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +32,7 @@
 #include <chrono>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -382,6 +385,142 @@ flag:    .quad 0
   EXPECT_GT(Result->Events.JitBlocksCompiled, 0u);
 }
 
+namespace {
+
+/// Minimal value-semantics LL/SC scheme for tests that need hooks.
+struct PlainScheme : AtomicScheme {
+  const SchemeTraits &traits() const override {
+    return schemeTraits(SchemeKind::PicoCas);
+  }
+  uint64_t emulateLoadLink(VCpu &Cpu, uint64_t Addr, unsigned Size) override {
+    uint64_t Value = Ctx->Mem->shadowLoad(Addr, Size);
+    Cpu.Monitor.arm(Addr, Value, Size);
+    return Value;
+  }
+  bool emulateStoreCond(VCpu &Cpu, uint64_t Addr, uint64_t Value,
+                        unsigned Size) override {
+    Ctx->Mem->shadowStore(Addr, Value, Size);
+    Cpu.Monitor.clear();
+    return true;
+  }
+};
+
+/// Drives two back-to-back scheme swaps that a vCPU sleeps through. The
+/// guest's first LL starts swap 1 and returns once it holds the floor;
+/// the vCPU then parks at its next safepoint. Swap 1's new scheme, while
+/// attaching under the floor, queues swap 2 — so the exclusive-request
+/// count never drops to zero and the vCPU wakes only after both.
+struct DoubleSwap {
+  explicit DoubleSwap(Machine *M) : M(M) {}
+  DoubleSwap(const DoubleSwap &) = delete;
+  DoubleSwap &operator=(const DoubleSwap &) = delete;
+  ~DoubleSwap() { join(); }
+
+  Machine *M;
+  std::thread First, Second;
+
+  struct Trigger final : PlainScheme {
+    DoubleSwap *Swapper;
+    bool Fired = false;
+    explicit Trigger(DoubleSwap *D) : Swapper(D) {}
+    uint64_t emulateLoadLink(VCpu &Cpu, uint64_t Addr,
+                             unsigned Size) override {
+      if (!Fired) {
+        Fired = true;
+        Swapper->First = std::thread([D = Swapper] {
+          D->M->setScheme(std::make_unique<QueueSecond>(D));
+        });
+        while (!Swapper->M->exclusive().debugState().ExclActive)
+          std::this_thread::yield();
+      }
+      return PlainScheme::emulateLoadLink(Cpu, Addr, Size);
+    }
+  };
+
+  struct QueueSecond final : PlainScheme {
+    DoubleSwap *Swapper;
+    explicit QueueSecond(DoubleSwap *D) : Swapper(D) {}
+    void onAttach() override {
+      Swapper->Second = std::thread([D = Swapper] {
+        D->M->setScheme(std::make_unique<PlainScheme>());
+      });
+      while (Swapper->M->exclusive().debugState().ExclRequests < 2)
+        std::this_thread::yield();
+    }
+  };
+
+  /// First before Second: First's thread is the one that starts Second.
+  void join() {
+    if (First.joinable())
+      First.join();
+    if (Second.joinable())
+      Second.join();
+  }
+};
+
+} // namespace
+
+// --- Hot-swap: a chain site pending across two swaps is dropped ---------------
+
+TEST(JitHotSwap, PendingChainPatchDroppedAcrossTwoSwaps) {
+  // The vCPU leaves llblk's tier-1 code through the unpatched `b big`
+  // site (VCpu::JitPendingPatch = that site) and parks through two swaps.
+  // The first retires the region, the second recycles it as the new
+  // active one, and `big` — compiled first on resume, at the region's
+  // first block offset and longer than the two blocks before the stale
+  // site — covers the old site's address. Patching it would overwrite
+  // big's own code; the run must instead match the interpreter exactly.
+  std::string Big;
+  for (unsigned N = 0; N < 48; ++N)
+    Big += formatString("        addi    r%u, r%u, #%u\n", 4 + N % 4,
+                        4 + (N + 1) % 4, N + 1);
+  const std::string Asm = R"(
+_start: la      r1, data
+        b       llblk
+llblk:  ldxr.d  r2, [r1]
+        addi    r2, r2, #1
+        stxr.d  r3, r2, [r1]
+        b       big
+big:
+)" + Big + R"(
+        std     r4, [r1, #8]
+        std     r7, [r1, #16]
+        halt
+        .align 4096
+data:   .quad 0
+        .quad 0
+        .quad 0
+)";
+
+  std::map<std::string, uint64_t> Counters[2];
+  std::array<uint64_t, guest::NumGuestRegs> Regs[2];
+  uint64_t Data[2][3];
+  for (bool Jit : {false, true}) {
+    auto M = makeMachine(SchemeKind::PicoCas, Jit);
+    DoubleSwap Swapper(M.get());
+    M->setScheme(std::make_unique<DoubleSwap::Trigger>(&Swapper));
+    ASSERT_TRUE(bool(M->loadAssembly(Asm)));
+    auto Result = M->run({});
+    Swapper.join();
+    ASSERT_TRUE(bool(Result)) << Result.error().render();
+    EXPECT_TRUE(Result->AllHalted);
+    if (Jit && M->jitBackend()) {
+      EXPECT_GT(Result->Events.JitEnters, 0u);
+    }
+    Counters[Jit] = counterMap(Result->Events);
+    std::copy_n(std::begin(M->cpu(0).Regs), guest::NumGuestRegs,
+                Regs[Jit].begin());
+    uint64_t Base = M->program().requiredSymbol("data");
+    for (unsigned W = 0; W < 3; ++W)
+      Data[Jit][W] = M->mem().shadowLoad(Base + 8 * W, 8);
+  }
+  EXPECT_EQ(Regs[0], Regs[1]);
+  EXPECT_EQ(Counters[0], Counters[1]);
+  for (unsigned W = 0; W < 3; ++W)
+    EXPECT_EQ(Data[0][W], Data[1][W]) << "data word " << W;
+  EXPECT_EQ(Data[1][0], 1u);
+}
+
 // --- Budgets: chained execution must still honor per-vCPU block limits -------
 
 TEST(JitBudget, BlockBudgetStopsChainedExecution) {
@@ -428,4 +567,69 @@ TEST(JitWx, NoRwxMappingsWhileJitLive) {
   while (std::getline(Maps, Line))
     EXPECT_EQ(Line.find("rwx"), std::string::npos)
         << "writable+executable mapping: " << Line;
+}
+
+// --- Code regions: cold reloads recycle instead of remapping -----------------
+
+namespace {
+
+/// The code-region mappings in /proc/self/maps (address range, perms and
+/// memfd inode — a new region shows up as a new line).
+std::set<std::string> jitCodeMappings() {
+  std::set<std::string> Lines;
+  std::ifstream Maps("/proc/self/maps");
+  std::string Line;
+  while (std::getline(Maps, Line))
+    if (Line.find("llsc-jit-code") != std::string::npos)
+      Lines.insert(Line);
+  return Lines;
+}
+
+} // namespace
+
+TEST(JitCodeCache, ColdReloadsRecycleOneSpareRegion) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "tier-1 JIT not available on this build/host";
+
+  // Every job loads a never-seen image, so every load flushes the code
+  // cache. The flushed region is reaped at the next reset and recycled
+  // by the flush after it: from the second job on, the machine runs out
+  // of the same two regions, mapping and unmapping nothing.
+  const std::set<std::string> Before = jitCodeMappings();
+  auto M = makeMachine(SchemeKind::Hst, /*Jit=*/true);
+  std::set<std::string> Steady;
+  for (int Job = 0; Job < 100; ++Job) {
+    ASSERT_TRUE(bool(M->loadAssembly(formatString(
+        "_start: li r2, #%d\nloop: addi r1, r1, #%d\n"
+        "        addi r2, r2, #-1\n        cbnz r2, loop\n        halt\n",
+        8 + Job, 1 + Job))));
+    auto Result = M->run({});
+    ASSERT_TRUE(bool(Result)) << Result.error().render();
+    ASSERT_TRUE(Result->AllHalted);
+    ASSERT_GT(Result->Events.JitBlocksCompiled, 0u) << "job " << Job;
+    EXPECT_EQ(M->cpu(0).Regs[1], uint64_t(8 + Job) * uint64_t(1 + Job));
+    M->reset();
+    if (Job == 2)
+      for (const std::string &Line : jitCodeMappings())
+        if (!Before.count(Line))
+          Steady.insert(Line);
+  }
+
+  std::set<std::string> After;
+  for (const std::string &Line : jitCodeMappings())
+    if (!Before.count(Line))
+      After.insert(Line);
+  EXPECT_EQ(After, Steady) << "a code region was mapped or unmapped after "
+                              "the cache reached steady state";
+  unsigned WriteViews = 0, ExecViews = 0;
+  for (const std::string &Line : After) {
+    EXPECT_EQ(Line.find("rwx"), std::string::npos) << Line;
+    if (Line.find(" rw-s ") != std::string::npos)
+      ++WriteViews;
+    if (Line.find(" r-xs ") != std::string::npos)
+      ++ExecViews;
+  }
+  EXPECT_LE(WriteViews, 2u);
+  EXPECT_LE(ExecViews, 2u);
+  EXPECT_GE(ExecViews, 1u);
 }

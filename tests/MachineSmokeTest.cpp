@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+
 using namespace llsc;
 
 namespace {
@@ -320,4 +323,63 @@ out:    halt
   auto Result = M->run({});
   ASSERT_TRUE(bool(Result)) << Result.error().render();
   EXPECT_TRUE(Result->AllHalted);
+}
+
+/// Records which host thread executed each vCPU's LL.
+struct ThreadRecordingScheme final : AtomicScheme {
+  std::array<std::thread::id, 4> LlThread{};
+  const SchemeTraits &traits() const override {
+    return schemeTraits(SchemeKind::PicoCas);
+  }
+  uint64_t emulateLoadLink(VCpu &Cpu, uint64_t Addr, unsigned Size) override {
+    LlThread[Cpu.Tid] = std::this_thread::get_id();
+    uint64_t Value = Ctx->Mem->shadowLoad(Addr, Size);
+    Cpu.Monitor.arm(Addr, Value, Size);
+    return Value;
+  }
+  bool emulateStoreCond(VCpu &Cpu, uint64_t Addr, uint64_t Value,
+                        unsigned Size) override {
+    Ctx->Mem->shadowStore(Addr, Value, Size);
+    Cpu.Monitor.clear();
+    return true;
+  }
+};
+
+TEST(MachineSmoke, VcpuZeroRunsOnTheCallingThread) {
+  constexpr const char *Source = R"(
+_start: la      r1, data
+        ldxr.w  r2, [r1]
+        stxr.w  r3, r2, [r1]
+        halt
+        .align 64
+data:   .quad 0
+)";
+  for (unsigned Threads : {1u, 3u}) {
+    auto M = makeMachine(SchemeKind::PicoCas, Threads);
+    auto Owned = std::make_unique<ThreadRecordingScheme>();
+    ThreadRecordingScheme &Recorder = *Owned;
+    M->setScheme(std::move(Owned));
+    ASSERT_TRUE(bool(M->loadAssembly(Source)));
+
+    // Run from a plain std::thread, not the test's main thread: vCPU 0
+    // belongs to whichever thread calls run().
+    std::thread::id Caller;
+    ErrorOr<RunResult> Result = makeError("not run");
+    std::thread Runner([&] {
+      Caller = std::this_thread::get_id();
+      Result = M->run({});
+    });
+    Runner.join();
+    ASSERT_TRUE(bool(Result)) << Result.error().render();
+    EXPECT_TRUE(Result->AllHalted);
+
+    EXPECT_EQ(Recorder.LlThread[0], Caller) << Threads << " vCPUs";
+    for (unsigned Tid = 1; Tid < Threads; ++Tid) {
+      EXPECT_NE(Recorder.LlThread[Tid], std::thread::id()) << "tid " << Tid;
+      EXPECT_NE(Recorder.LlThread[Tid], Caller) << "tid " << Tid;
+      for (unsigned Other = 0; Other < Tid; ++Other)
+        EXPECT_NE(Recorder.LlThread[Tid], Recorder.LlThread[Other])
+            << "tids " << Other << " and " << Tid << " shared a thread";
+    }
+  }
 }

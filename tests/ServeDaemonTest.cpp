@@ -141,6 +141,43 @@ JsonValue readStream(Client &Conn, std::vector<JsonValue> &Jobs) {
 
 } // namespace
 
+TEST(JsonTest, LongStringMixingPlainRunsAndEscapes) {
+  // Submits carry multi-kilobyte strings (assembly, elf_hex); the parser
+  // copies plain runs in bulk, so escapes at every position — first,
+  // last, back to back, between long runs — must still decode exactly.
+  std::string Wire = "\"";
+  std::string Expected;
+  const std::pair<const char *, const char *> Escapes[] = {
+      {"\\n", "\n"},  {"\\t", "\t"},        {"\\\"", "\""},
+      {"\\\\", "\\"}, {"\\/", "/"},         {"\\u0041", "A"},
+      {"\\u00e9", "\xc3\xa9"}, {"\\u20AC", "\xe2\x82\xac"}};
+  for (unsigned N = 0; N < 400; ++N) {
+    const auto &[Escaped, Decoded] = Escapes[N % std::size(Escapes)];
+    Wire += Escaped;
+    Expected += Decoded;
+    std::string Run(N % 37, static_cast<char>('a' + N % 26));
+    Wire += Run;
+    Expected += Run;
+  }
+  Wire += "\\n\"";
+  Expected += "\n";
+  ASSERT_GT(Wire.size(), 6000u);
+
+  auto Parsed = JsonValue::parse(Wire);
+  ASSERT_TRUE(bool(Parsed)) << Parsed.error().render();
+  EXPECT_EQ(Parsed->asString(), Expected);
+
+  // What the server renders, it reads back unchanged.
+  auto Round = JsonValue::parse(JsonValue::string(Expected).render());
+  ASSERT_TRUE(bool(Round)) << Round.error().render();
+  EXPECT_EQ(Round->asString(), Expected);
+
+  EXPECT_FALSE(bool(JsonValue::parse("\"plain run, no closing quote")));
+  EXPECT_FALSE(bool(JsonValue::parse("\"ends in a backslash\\")));
+  EXPECT_FALSE(bool(JsonValue::parse("\"bad \\q escape\"")));
+  EXPECT_FALSE(bool(JsonValue::parse("\"short \\u12\"")));
+}
+
 TEST(ServeDaemonTest, HelloReportsProtocolAndSchema) {
   LiveDaemon D;
   Client Conn = D.connect();
@@ -304,6 +341,11 @@ TEST(ServeDaemonTest, DrainFinishesInFlightThenExits) {
             .asBool(false))
       ++Accepted;
   ASSERT_GT(Accepted, 0u);
+  // One job still runs when the drain starts: once nothing is in flight
+  // the loop exits, and the post-drain submit below would meet a closed
+  // connection instead of a "draining" answer.
+  callOk(Submitter, submitRequest(Session, SpinAsm, /*Deadline=*/1.0));
+  ++Accepted;
 
   D.Srv.requestDrain();
   // Post-drain admissions bounce.

@@ -237,6 +237,27 @@ TEST(SessionTest, BoundedBufferDropsOldest) {
   EXPECT_EQ((*Sess)->droppedResults(), 2u);
 }
 
+TEST(SessionTest, TerminalStatesKeepOnlyTheNewest) {
+  // One worker: jobs finish in submit order, so the evicted ones are
+  // exactly the first submitted.
+  SessionService Service({smallFleet(1, 8)});
+  SessionConfig Cfg;
+  Cfg.MaxBufferedResults = 2;
+  auto Sess = Service.createSession(Cfg);
+  ASSERT_TRUE(bool(Sess));
+  std::vector<uint64_t> Ids;
+  for (int J = 0; J < 5; ++J) {
+    Admission A = (*Sess)->submit(quickSpec());
+    ASSERT_EQ(A.Status, AdmitStatus::Accepted);
+    Ids.push_back(A.Handle.id());
+  }
+  Service.drain();
+  for (size_t J = 0; J < 3; ++J)
+    EXPECT_EQ((*Sess)->poll(Ids[J]), std::nullopt) << "job " << J;
+  for (size_t J = 3; J < 5; ++J)
+    EXPECT_EQ((*Sess)->poll(Ids[J]), JobState::Done) << "job " << J;
+}
+
 TEST(SessionTest, CloseSemantics) {
   SessionService Service({smallFleet(1, 4)});
   SessionConfig Cfg;

@@ -57,7 +57,8 @@ unsigned soakJobs() {
   return 10000;
 }
 
-JsonValue submitLine(const std::string &Session) {
+JsonValue submitLine(const std::string &Session, const char *Asm = SoakAsm,
+                     double Deadline = 0) {
   JsonValue R = JsonValue::object();
   auto &M = R.membersMut();
   M["verb"] = JsonValue::string("submit");
@@ -65,7 +66,9 @@ JsonValue submitLine(const std::string &Session) {
   M["name"] = JsonValue::string("soak");
   M["scheme"] = JsonValue::string("hst");
   M["threads"] = JsonValue::integer(1);
-  M["asm"] = JsonValue::string(SoakAsm);
+  M["asm"] = JsonValue::string(Asm);
+  if (Deadline > 0)
+    M["deadline"] = JsonValue::number(Deadline);
   return R;
 }
 
@@ -195,7 +198,13 @@ TEST(ServeSoakTest, TenThousandJobsThenSigtermDrain) {
   Client Subscriber;
   ASSERT_TRUE(bool(Subscriber.connect("127.0.0.1", Srv.port())));
   beginStream(Subscriber, Session, Burst);
-  unsigned Half = submitWire(Conn, Session, Burst / 2);
+  // One job spins until its deadline, so work is still in flight when
+  // the signal lands: the loop exits as soon as nothing is, and a burst
+  // arriving after that meets a closed connection, not a cut-over.
+  auto Spin = Conn.call(submitLine(Session, "_start: b _start\n", 1.0));
+  ASSERT_TRUE(bool(Spin)) << Spin.error().render();
+  ASSERT_TRUE(Spin->get("ok").asBool(false)) << Spin->render();
+  unsigned Half = 1 + submitWire(Conn, Session, Burst / 2);
   raise(SIGTERM);
   // raise() returns after the handler wrote the drain byte, and the
   // event loop consumes its wake pipe before reading connections — so
