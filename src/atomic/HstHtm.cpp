@@ -15,6 +15,15 @@
 /// After repeated conflict aborts the SC falls back to the exclusive
 /// section, guaranteeing forward progress.
 ///
+/// Under RTM the table entries the SC checks are in the transaction's read
+/// set and the word it stores is in its write set, so another vCPU's LL
+/// tag or plain store aborts it. The software model is a global lock with
+/// neither set (src/htm/Htm.h). Two things stand in for them: an LL calls
+/// HtmRuntime::orderWrite() after tagging, and the SC's store is a
+/// compare-and-store against the value the LL loaded (storeIfUnchanged).
+/// The compare also closes a window Figure 6 leaves open even on RTM: an
+/// LL landing between a plain store's tag and its data.
+///
 //===----------------------------------------------------------------------===//
 
 #include "atomic/AtomicScheme.h"
@@ -83,17 +92,41 @@ public:
     }
   }
 
+  /// The loads are seq_cst: under the software HTM they are the
+  /// transaction's side of the Dekker pairing with orderWrite() (plain
+  /// movs on x86).
   bool granulesCarry(uint64_t Addr, unsigned Size, uint32_t Tag) const {
     uint64_t First = Addr >> 2;
     uint64_t Last = (Addr + Size - 1) >> 2;
     for (; First <= Last; ++First)
-      if (Table[First & Mask].load(std::memory_order_relaxed) != Tag)
+      if (Table[First & Mask].load(std::memory_order_seq_cst) != Tag)
         return false;
+    return true;
+  }
+
+  /// The SC's store, made conditional on memory still holding the value
+  /// the LL loaded. A plain store tags, then writes: an LL landing
+  /// between the two re-tags the entry and loads the old value, so the
+  /// table check alone would let that LL's SC overwrite the store. A
+  /// failed compare means some write followed the LL, so failing the SC
+  /// is always allowed. A misaligned access is not single-copy atomic
+  /// (GuestMemory::loadRelaxed), so it compares, then stores.
+  bool storeIfUnchanged(const ExclusiveMonitor &Mon, uint64_t Value) {
+    uint64_t Expected = Mon.Value;
+    if (isAligned(Mon.Addr, Mon.Size))
+      return Ctx->Mem->compareExchange(Mon.Addr, Expected, Value, Mon.Size);
+    if (Ctx->Mem->shadowLoad(Mon.Addr, Mon.Size) != Expected)
+      return false;
+    Ctx->Mem->shadowStore(Mon.Addr, Value, Mon.Size);
     return true;
   }
 
   uint64_t emulateLoadLink(VCpu &Cpu, uint64_t Addr, unsigned Size) override {
     tagGranules(Addr, Size, tagFor(Cpu.Tid));
+    // As RTM would abort a transaction whose read set this tag hits: one
+    // that checked the old tag publishes its store before this load, so
+    // the LL does not return a value its SC's compare is bound to fail.
+    Ctx->Htm->orderWrite();
     uint64_t Value = Ctx->Mem->shadowLoad(Addr, Size);
     Cpu.Monitor.arm(Addr, Value, Size);
     return Value;
@@ -124,17 +157,18 @@ public:
         continue; // Conflict: retry the tiny transaction.
       }
       // Figure 6: HTM_xbegin; Htable_check; store; HTM_xend. The check
-      // covers every granule the SC touches.
-      bool CheckOk = granulesCarry(Addr, Size, tagFor(Cpu.Tid));
-      if (CheckOk)
-        Ctx->Mem->shadowStore(Addr, Value, Size);
+      // covers every granule the SC touches; the store compares first.
+      bool CheckOk = granulesCarry(Addr, Size, tagFor(Cpu.Tid)) &&
+                     storeIfUnchanged(Mon, Value);
       if (Ctx->Htm->commit(Cpu.Tid)) {
         Cpu.Events.HtmCommits++;
         Ok = CheckOk;
         Done = true;
       }
-      // A doomed commit means a plain store hit our watch address while
-      // the transaction ran; the SC must fail and the guest retries.
+      // Neither backend dooms this transaction: nothing calls
+      // notifyStore() or noteFootprint() for HST-HTM, and an RTM abort
+      // resumes at begin(). A doomed commit would be a model bug, and the
+      // store may already be visible; count it and fail the SC.
       else {
         Cpu.Events.HtmAbortsConflict++;
         Ok = false;
@@ -148,9 +182,8 @@ public:
       Cpu.Events.HtmFallbacks++;
       BucketTimer Timer(Cpu.profileOrNull(), ProfileBucket::Exclusive);
       ExclusiveSection Excl(Cpu, Cpu.InRunLoop);
-      Ok = granulesCarry(Addr, Size, tagFor(Cpu.Tid));
-      if (Ok)
-        Ctx->Mem->shadowStore(Addr, Value, Size);
+      Ok = granulesCarry(Addr, Size, tagFor(Cpu.Tid)) &&
+           storeIfUnchanged(Mon, Value);
     }
 
     if (!Ok) {

@@ -19,6 +19,16 @@
 ///    work — reproducing the paper's observation that PICO-HTM, whose
 ///    transactions span the translator/interpreter code between LL and SC,
 ///    suffers abort storms and livelocks beyond ~8 threads (Section IV-B).
+///    The lock shuts out other transactions only; it cannot see the
+///    non-transactional writes RTM would abort on, such as HST-HTM's LL
+///    table tags. Such a write is ordered against open transactions by
+///    orderWrite(): a seq_cst fence, then a wait while the lock is held.
+///    Paired with begin()'s seq_cst lock acquisition and the
+///    transaction's seq_cst reads, either the transaction reads the
+///    write, or the writer waits until the transaction has published its
+///    stores. HST-HTM's plain stores need no such call: its SC stores
+///    with a compare-and-swap, which fails once a store has changed the
+///    word since the LL loaded it.
 ///
 /// The substitution is documented in DESIGN.md §5.
 ///
@@ -95,6 +105,17 @@ public:
   /// Plain-store conflict hook (software backend): dooms transactions
   /// watching \p Addr. Cheap no-op when no transaction is active.
   virtual void notifyStore(uint64_t Addr) {}
+
+  /// Orders a non-transactional write the caller has just made against
+  /// every transaction in flight: on return, a transaction that might have
+  /// missed the write has committed or aborted, and its stores are
+  /// visible to the caller's later loads; a transaction that begins later
+  /// reads the write. RTM aborts a transaction whose read set is written,
+  /// so it only needs the write drained from the store buffer before the
+  /// caller's next load; the default is that seq_cst fence.
+  virtual void orderWrite() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
 
   /// \returns true if plain store paths must call notifyStore().
   virtual bool needsStoreNotification() const { return false; }

@@ -15,6 +15,12 @@ using namespace llsc;
 
 namespace {
 
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
 /// Cache-line padded per-thread transaction slot.
 struct alignas(64) TxSlot {
   std::atomic<bool> Active{false};
@@ -41,11 +47,13 @@ public:
     Reg.Begins->fetch_add(1, std::memory_order_relaxed);
 
     // Bounded spin on the global commit lock; giving up is a conflict
-    // abort, so the abort rate grows with contention like real HTM.
+    // abort, so the abort rate grows with contention like real HTM. The
+    // acquisition is seq_cst: it is one side of the Dekker pairing with
+    // orderWrite() (see Htm.h).
     unsigned Spins = 0;
     bool Expected = false;
     while (!GlobalLock.compare_exchange_weak(Expected, true,
-                                             std::memory_order_acquire,
+                                             std::memory_order_seq_cst,
                                              std::memory_order_relaxed)) {
       Expected = false;
       if (++Spins >= Config.BeginSpinLimit) {
@@ -53,9 +61,7 @@ public:
         Reg.ConflictAborts->fetch_add(1, std::memory_order_relaxed);
         return TxStatus::AbortConflict;
       }
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
+      cpuRelax();
     }
 
     Slot.Doomed.store(false, std::memory_order_relaxed);
@@ -103,6 +109,17 @@ public:
       HtmRegistryCounters::get().CapacityAborts->fetch_add(
           1, std::memory_order_relaxed);
     }
+  }
+
+  void orderWrite() override {
+    // The caller's write, this fence, then the lock load — against
+    // begin()'s lock RMW, then the transaction's reads. Either the
+    // transaction reads the write, or this load sees the lock held and
+    // waits; the acquire load that finally sees it free makes the
+    // transaction's stores visible to the caller.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    while (GlobalLock.load(std::memory_order_acquire))
+      cpuRelax();
   }
 
   void notifyStore(uint64_t Addr) override {

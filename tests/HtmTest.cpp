@@ -7,6 +7,7 @@
 #include "htm/Htm.h"
 
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
 #include <thread>
 #include <vector>
@@ -123,6 +124,35 @@ TEST(SoftHtm, ConcurrentTransactionsSerialize) {
     Thread.join();
 
   EXPECT_EQ(Counter, static_cast<uint64_t>(ThreadCount) * PerThread);
+}
+
+/// orderWrite() is how HST-HTM's LL tags stand in for RTM's read-set
+/// aborts on the software HTM: a writer must wait out any open transaction.
+/// The timing check is one-sided — a slow host can only delay the writer,
+/// never make it return early.
+TEST(SoftHtm, OrderWriteWaitsForOpenTransaction) {
+  auto Htm = createSoftHtm(smallConfig());
+  Htm->orderWrite(); // No transaction: returns at once.
+
+  for (bool Commit : {true, false}) {
+    ASSERT_EQ(Htm->begin(0, 0x1000), TxStatus::Started);
+    std::atomic<bool> Returned{false};
+    std::thread Writer([&] {
+      Htm->orderWrite();
+      Returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(Returned.load())
+        << "orderWrite returned while a transaction was open";
+    if (Commit)
+      EXPECT_TRUE(Htm->commit(0));
+    else
+      Htm->abort(0);
+    Writer.join();
+    EXPECT_TRUE(Returned.load());
+  }
+
+  Htm->orderWrite(); // Lock released again: returns at once.
 }
 
 TEST(HardwareHtm, ProbeIsStable) {

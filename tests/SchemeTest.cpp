@@ -143,6 +143,81 @@ _start: stw r1, [r2]
   }
 }
 
+/// HST-HTM: a plain store tags, then writes. An LL by another vCPU landing
+/// between the two re-tags the entry and loads the old value, and then the
+/// store's data lands. The table check still passes, so the SC must fail
+/// on the compare before its store. Both store paths: the aligned
+/// compare-and-swap and the misaligned compare-then-store.
+TEST(HstHtm, StoreDataLandingAfterAnLlFailsTheSc) {
+  auto M = makeMachine(SchemeKind::HstHtm);
+  auto DriverOrErr = LitmusDriver::create(*M);
+  ASSERT_TRUE(bool(DriverOrErr)) << DriverOrErr.error().render();
+  LitmusDriver &Driver = *DriverOrErr;
+  uint64_t VarAddr = M->program().requiredSymbol("shared_var");
+
+  Driver.resetVar(5);
+  Driver.loadLink(0);
+  M->mem().shadowStore(VarAddr, 9, 4); // vCPU 1's data, tag already lost.
+  EXPECT_FALSE(Driver.storeCond(0, 6));
+  EXPECT_EQ(Driver.varValue(), 9u);
+
+  Driver.resetVar(0);
+  Driver.loadLinkAt(0, 4, 8);
+  M->mem().shadowStore(VarAddr + 8, 9, 4);
+  EXPECT_FALSE(Driver.storeCondAt(0, 0x1122334455667788ULL, 4, 8));
+  EXPECT_EQ(Driver.varValueAt(4, 8), 9ULL << 32);
+}
+
+/// HST-HTM under free-running threads: vCPU 0 plain-stores a new high word
+/// into `var` while the others LL/SC-increment its low word. An increment
+/// carries the high word forward, so after vCPU 0's store the high word
+/// must stay what it stored until its next store. An SC that put the
+/// previous high word back overwrote the store; vCPU 0 reads back after a
+/// short delay and counts each such lost store.
+TEST(HstHtm, PlainStoresSurviveConcurrentScs) {
+  auto M = makeMachine(SchemeKind::HstHtm, 4);
+  ASSERT_TRUE(bool(M->loadAssembly(R"(
+_start: la      r1, var
+        cbz     r0, writer
+        li      r4, #3000
+inc:    cbz     r4, done
+retry:  ldxr.d  r2, [r1]
+        addi    r2, r2, #1
+        stxr.d  r3, r2, [r1]
+        cbnz    r3, retry
+        addi    r4, r4, #-1
+        b       inc
+writer: la      r10, lost
+        li      r4, #3000
+        movz    r5, #0
+wloop:  cbz     r4, done
+        addi    r5, r5, #1
+        lsli    r6, r5, #32
+        std     r6, [r1]
+        li      r7, #20
+delay:  addi    r7, r7, #-1
+        cbnz    r7, delay
+        ldd     r2, [r1]
+        lsri    r2, r2, #32
+        beq     r2, r5, kept
+        ldd     r8, [r10]
+        addi    r8, r8, #1
+        std     r8, [r10]
+kept:   addi    r4, r4, #-1
+        b       wloop
+done:   halt
+        .align 4096
+var:    .quad 0
+        .align 4096
+lost:   .quad 0
+)")));
+  auto Result = M->run({});
+  ASSERT_TRUE(bool(Result)) << Result.error().render();
+  EXPECT_TRUE(Result->AllHalted);
+  EXPECT_EQ(M->mem().shadowLoad(M->program().requiredSymbol("lost"), 8), 0u)
+      << "plain stores overwritten by a stale SC";
+}
+
 /// PST: LL protects the page; conflicting stores fault and are recovered;
 /// matching stores break the monitor; non-matching are false sharing.
 TEST(Pst, FalseSharingVsConflict) {
