@@ -138,8 +138,15 @@ public:
       BucketTimer Timer(Cpu.profileOrNull(), ProfileBucket::Exclusive);
       ExclusiveSection Excl(Cpu, Cpu.InRunLoop);
       // Figure 5 SC: Htable_check — every covered granule must still
-      // carry our tag.
-      Ok = granulesCarry(Addr, Size, tagFor(Cpu.Tid));
+      // carry our tag. With instrumented stores the location must also
+      // still hold what the LL loaded: a plain store tags, then writes,
+      // so an LL landing between the two re-tags the entry, loads the
+      // old value and would otherwise overwrite the store's data here.
+      // No vCPU runs inside the exclusive section, so nothing can land
+      // between this compare and the store.
+      Ok = granulesCarry(Addr, Size, tagFor(Cpu.Tid)) &&
+           (Variant == SchemeKind::HstWeak ||
+            Ctx->Mem->shadowLoad(Addr, Size) == Mon.Value);
       if (Ok) {
         // The SC store leaves our tag in the entry, which is what breaks
         // every other thread's monitor of this location.

@@ -50,8 +50,12 @@ const void *Jit::compile(CachedBlock &Block, VCpu &Cpu) {
   // than the one this compilation started against.
   uint64_t Serial = RegionSerial.load(std::memory_order_acquire);
 
-  X86Emitter Em;
-  std::vector<Fixup> Fixups;
+  // The compiling thread's buffers: install() copies the bytes out, so
+  // they are free again for the thread's next block.
+  thread_local X86Emitter Em;
+  thread_local std::vector<Fixup> Fixups;
+  Em.clear();
+  Fixups.clear();
   if (!compileBlock(Block, Em, Fixups)) {
     Cpu.Events.JitCompileBails++;
     Block.Tier.store(static_cast<uint8_t>(BlockTier::Bailed),

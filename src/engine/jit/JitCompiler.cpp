@@ -9,7 +9,7 @@
 //    VCpu*), QEMU-style — correct across thunk calls and safepoint exits
 //    for free;
 //  - IR temps get linear-scan allocation over {rbp, r12, r13, r14, r15}
-//    using the translator's last-use metadata (IRBlock::TempLastUse),
+//    using last-use indices computed from the block at compile time,
 //    spilling to VCpu::JitSpill when the pool is dry;
 //  - every op computes through caller-saved scratch (rax/rcx/rdx/rsi/rdi/
 //    r8-r11), so values that live across a thunk call are by construction
@@ -127,19 +127,32 @@ bool fitsInt32(uint64_t V) {
   return S >= INT32_MIN && S <= INT32_MAX;
 }
 
+/// Register-allocation state indexed by ValueId. One instance per
+/// compiling thread: computeLastUse() resizes and refills every array for
+/// the block at hand, so nothing carries over between blocks but the
+/// capacity.
+struct AllocScratch {
+  std::vector<TempLoc> Locs;     ///< Where each temp lives.
+  std::vector<uint32_t> LastUse; ///< Last referencing inst; ~0u = unused.
+  std::vector<bool> Defined;     ///< Use-before-def detection.
+  std::vector<uint16_t> FreeSlots;
+};
+
 /// Per-block lowering context.
 class BlockCompiler {
 public:
   BlockCompiler(const CachedBlock &Block, X86Emitter &Em,
-                std::vector<Fixup> &Fixups)
-      : Block(Block), IR(Block.IR), Em(Em), Fixups(Fixups) {}
+                std::vector<Fixup> &Fixups, AllocScratch &Scratch)
+      : Block(Block), IR(Block.IR), Em(Em), Fixups(Fixups),
+        Locs(Scratch.Locs), LastUse(Scratch.LastUse),
+        Defined(Scratch.Defined), FreeSlots(Scratch.FreeSlots) {}
 
   bool run();
 
 private:
   // --- Register allocation -------------------------------------------------
 
-  bool computeLastUse();
+  void computeLastUse();
   void freeDeadTemps(unsigned InstIdx);
   TempLoc &allocTemp(ValueId Id);
 
@@ -233,31 +246,24 @@ private:
   X86Emitter &Em;
   std::vector<Fixup> &Fixups;
 
-  std::vector<TempLoc> Locs;      ///< Indexed by ValueId.
-  std::vector<uint32_t> LastUse;  ///< Indexed by ValueId; ~0u = unused.
-  std::vector<bool> Defined;      ///< Use-before-def detection.
+  std::vector<TempLoc> &Locs;
+  std::vector<uint32_t> &LastUse;
+  std::vector<bool> &Defined;
+  std::vector<uint16_t> &FreeSlots;
   bool RegFree[NumPoolRegs] = {true, true, true, true, true};
-  std::vector<uint16_t> FreeSlots;
   uint16_t NextSlot = 0;
   bool UseBeforeDef = false;
 };
 
-bool BlockCompiler::computeLastUse() {
+void BlockCompiler::computeLastUse() {
   const unsigned NumValues = IR.NumValues;
   Locs.assign(NumValues, TempLoc());
   Defined.assign(NumValues, false);
   LastUse.assign(NumValues, ~0u);
+  FreeSlots.clear();
 
-  // Prefer the translator's metadata (translate/Translator.cpp computes it
-  // for every verified block); recompute for hand-built blocks in tests.
-  if (IR.TempLastUse.size() == NumValues) {
-    for (unsigned Id = 0; Id < NumValues; ++Id)
-      LastUse[Id] = IR.TempLastUse[Id] == ir::IRBlock::NoUse
-                        ? ~0u
-                        : IR.TempLastUse[Id];
-    return true;
-  }
-
+  // Computed here, not at translation, so blocks that never get hot
+  // never pay for it and the cache keeps no liveness array per block.
   for (unsigned I = 0; I < Block.Decoded.size(); ++I) {
     const DecodedInst &D = Block.Decoded[I];
     if (D.ABank == BankTemps)
@@ -269,7 +275,6 @@ bool BlockCompiler::computeLastUse() {
     if (D.DstBank == BankTemps && writesDst(D.Op))
       LastUse[D.Dst] = I;
   }
-  return true;
 }
 
 void BlockCompiler::freeDeadTemps(unsigned InstIdx) {
@@ -498,9 +503,10 @@ void BlockCompiler::emitAluImm(const DecodedInst &D) {
 void BlockCompiler::emitLoadG(const DecodedInst &D) {
   emitAddrAPlusImm(D, RSI); // rsi = guest address (slow-path arg 2).
   bool Sext = (D.Flags & DecodedFlagSignExtend) != 0;
+  bool Inline = !(D.Flags & DecodedFlagInstrument);
 
-  std::vector<size_t> ToDone;
-  if (!(D.Flags & DecodedFlagInstrument)) {
+  size_t ToDone = 0;
+  if (Inline) {
     // Inline fastmem window, interpreter condition verbatim:
     // Addr < FastLimit && Size <= FastLimit - Addr. The subtraction form
     // (not addr+size vs limit) is deliberate — addr+size can wrap at the
@@ -521,7 +527,7 @@ void BlockCompiler::emitLoadG(const DecodedInst &D) {
       Em.loadZx(RAX, R10, RSI, D.Size);
     emitCount(OffLoads);
     emitCount(OffFastMemHits);
-    ToDone.push_back(Em.jmp());
+    ToDone = Em.jmp();
     Em.patchRel32(Slow1, Em.size());
     Em.patchRel32(Slow2, Em.size());
   }
@@ -533,17 +539,18 @@ void BlockCompiler::emitLoadG(const DecodedInst &D) {
   emitCall(reinterpret_cast<const void *>(&llscJitLoadSlow));
   emitHaltedCheck();
 
-  for (size_t Off : ToDone)
-    Em.patchRel32(Off, Em.size());
+  if (Inline)
+    Em.patchRel32(ToDone, Em.size());
   writeDst(D.DstBank, D.Dst, RAX);
 }
 
 void BlockCompiler::emitStoreG(const DecodedInst &D) {
   emitAddrAPlusImm(D, RSI);        // rsi = guest address.
   readInto(RDX, D.BBank, D.B);     // rdx = value (slow-path arg 3).
+  bool Inline = !(D.Flags & DecodedFlagInstrument);
 
-  std::vector<size_t> ToDone;
-  if (!(D.Flags & DecodedFlagInstrument)) {
+  size_t ToDone = 0;
+  if (Inline) {
     Em.loadQ(R10, RBX, OffFastMemLimit);
     Em.cmp(RSI, R10);
     size_t Slow1 = Em.jcc(CC_AE);
@@ -555,7 +562,7 @@ void BlockCompiler::emitStoreG(const DecodedInst &D) {
     Em.storeSized(R10, RSI, RDX, D.Size);
     emitCount(OffStores);
     emitCount(OffFastMemHits);
-    ToDone.push_back(Em.jmp());
+    ToDone = Em.jmp();
     Em.patchRel32(Slow1, Em.size());
     Em.patchRel32(Slow2, Em.size());
   }
@@ -566,8 +573,8 @@ void BlockCompiler::emitStoreG(const DecodedInst &D) {
   emitCall(reinterpret_cast<const void *>(&llscJitStoreSlow));
   emitHaltedCheck();
 
-  for (size_t Off : ToDone)
-    Em.patchRel32(Off, Em.size());
+  if (Inline)
+    Em.patchRel32(ToDone, Em.size());
 }
 
 void BlockCompiler::emitHstStoreTag(const DecodedInst &D) {
@@ -833,5 +840,6 @@ bool BlockCompiler::run() {
 
 bool llsc::jit::compileBlock(const CachedBlock &Block, X86Emitter &Em,
                              std::vector<Fixup> &Fixups) {
-  return BlockCompiler(Block, Em, Fixups).run();
+  thread_local AllocScratch Scratch;
+  return BlockCompiler(Block, Em, Fixups, Scratch).run();
 }

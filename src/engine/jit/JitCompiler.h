@@ -13,9 +13,11 @@
 /// emitted prologue and exit stubs implement.
 ///
 /// compileBlock is pure with respect to the machine: it writes only into
-/// the caller's emitter/fixup buffers. Unsupported shapes (temp pressure
-/// beyond the spill area, use of an undefined temp) return false — the
-/// caller marks the block Bailed and tier-0 keeps executing it.
+/// the caller's emitter/fixup buffers and its own per-thread register-
+/// allocation scratch, which it refills for every block. Unsupported
+/// shapes (temp pressure beyond the spill area, use of an undefined temp)
+/// return false — the caller marks the block Bailed and tier-0 keeps
+/// executing it.
 ///
 //===----------------------------------------------------------------------===//
 

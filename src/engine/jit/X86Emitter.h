@@ -6,12 +6,14 @@
 ///
 /// \file
 /// A minimal x86-64 byte emitter for the tier-1 JIT: no external assembler,
-/// just REX/ModRM/SIB encoding into a growable byte buffer (the
-/// machine_code_writer idiom of SNIPPETS.md snippets 1-3). The
+/// just REX/ModRM/SIB encoding through a raw cursor into a growable byte
+/// buffer (the machine_code_writer idiom of SNIPPETS.md snippets 1-3). The
 /// TranslationContext (JitCompiler.cpp) is the only client; it emits a
-/// block into a local buffer, then CodeCache::install copies the bytes
-/// into the dual-mapped executable region and resolves the recorded
-/// external fixups against final addresses.
+/// block into the compiling thread's emitter, then CodeCache::install
+/// copies the bytes into the dual-mapped executable region and resolves
+/// the recorded external fixups against final addresses. clear() rewinds
+/// the cursor and keeps the buffer, so one emitter per thread serves
+/// every block that thread compiles (docs/JIT.md "Compile-time memory").
 ///
 /// Only the subset of the ISA the lowering needs is implemented. All
 /// integer ops are 64-bit (REX.W) unless the name says otherwise; memory
@@ -27,7 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 namespace llsc {
 namespace jit {
@@ -72,16 +74,23 @@ enum Cond : uint8_t {
 /// Byte-buffer machine-code writer.
 class X86Emitter {
 public:
-  /// Starts with room for a typical block so emission does not regrow
-  /// the buffer as it goes.
-  X86Emitter() { Buf.reserve(InitialCapacity); }
+  /// Starts with room for a typical block so emission rarely regrows the
+  /// buffer.
+  X86Emitter() { grow(InitialCapacity); }
 
-  const uint8_t *data() const { return Buf.data(); }
-  size_t size() const { return Buf.size(); }
+  const uint8_t *data() const { return Buf.get(); }
+  size_t size() const { return static_cast<size_t>(Cur - Buf.get()); }
+
+  /// Empties the emitter for the next block, keeping its buffer.
+  void clear() { Cur = Buf.get(); }
 
   // --- Raw bytes -----------------------------------------------------------
 
-  void emit8(uint8_t B) { Buf.push_back(B); }
+  void emit8(uint8_t B) {
+    if (LLSC_UNLIKELY(Cur == End))
+      grow(2 * capacity());
+    *Cur++ = B;
+  }
   void emit16(uint16_t V) {
     emit8(static_cast<uint8_t>(V));
     emit8(static_cast<uint8_t>(V >> 8));
@@ -95,7 +104,7 @@ public:
 
   /// Pads with NOPs until (size() + Bias) is a multiple of \p Align.
   void alignWithBias(unsigned Align, unsigned Bias) {
-    while ((Buf.size() + Bias) % Align != 0)
+    while ((size() + Bias) % Align != 0)
       nop();
   }
 
@@ -131,7 +140,7 @@ public:
   size_t movImm64Fixed(Reg Dst, uint64_t Imm) {
     rexW(0, Dst);
     emit8(0xB8 | (Dst & 7));
-    size_t At = Buf.size();
+    size_t At = size();
     emit64(Imm);
     return At;
   }
@@ -440,7 +449,7 @@ public:
   size_t jcc(Cond Cc) {
     emit8(0x0F);
     emit8(0x80 | Cc);
-    size_t At = Buf.size();
+    size_t At = size();
     emit32(0);
     return At;
   }
@@ -448,7 +457,7 @@ public:
   /// jmp rel32 with a placeholder; \returns the rel32 operand offset.
   size_t jmp() {
     emit8(0xE9);
-    size_t At = Buf.size();
+    size_t At = size();
     emit32(0);
     return At;
   }
@@ -458,8 +467,7 @@ public:
     int64_t Rel = static_cast<int64_t>(Target) -
                   (static_cast<int64_t>(OperandAt) + 4);
     uint32_t V = static_cast<uint32_t>(static_cast<int32_t>(Rel));
-    for (int I = 0; I < 4; ++I)
-      Buf[OperandAt + I] = static_cast<uint8_t>(V >> (8 * I));
+    std::memcpy(Buf.get() + OperandAt, &V, sizeof(V));
   }
 
   /// Backward jcc straight to a known buffer offset.
@@ -562,13 +570,29 @@ private:
   }
 
   void emitBytes(const void *Src, size_t Bytes) {
-    size_t At = Buf.size();
-    Buf.resize(At + Bytes);
-    std::memcpy(Buf.data() + At, Src, Bytes);
+    if (LLSC_UNLIKELY(static_cast<size_t>(End - Cur) < Bytes))
+      grow(2 * capacity());
+    std::memcpy(Cur, Src, Bytes);
+    Cur += Bytes;
+  }
+
+  size_t capacity() const { return static_cast<size_t>(End - Buf.get()); }
+
+  /// Moves the bytes emitted so far into a buffer of \p NewCapacity.
+  LLSC_NOINLINE void grow(size_t NewCapacity) {
+    size_t Used = size();
+    std::unique_ptr<uint8_t[]> NewBuf(new uint8_t[NewCapacity]);
+    if (Used)
+      std::memcpy(NewBuf.get(), Buf.get(), Used);
+    Buf = std::move(NewBuf);
+    Cur = Buf.get() + Used;
+    End = Buf.get() + NewCapacity;
   }
 
   static constexpr size_t InitialCapacity = 4096;
-  std::vector<uint8_t> Buf;
+  std::unique_ptr<uint8_t[]> Buf;
+  uint8_t *Cur = nullptr; ///< Next byte to write.
+  uint8_t *End = nullptr; ///< One past the buffer.
 };
 
 } // namespace jit

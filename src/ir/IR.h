@@ -196,17 +196,6 @@ struct IRBlock {
   /// Number of ops carrying IRFlagInstrument, maintained by the builder;
   /// the profiler uses this to attribute inline-instrumentation cost.
   uint32_t InstrumentOpCount = 0;
-
-  /// Liveness metadata for register allocation (the tier-1 JIT's linear
-  /// scan): TempLastUse[Id] is the index into Insts of the last
-  /// instruction referencing value Id, or NoUse. Indexed by absolute
-  /// ValueId and sized NumValues when present (guest-register slots are
-  /// filled but unused — their home is the VCpu frame); empty on blocks
-  /// built before finalization. Computed by Translator::translateBlock
-  /// after optimization, so it reflects the instruction stream that
-  /// actually executes.
-  static constexpr uint32_t NoUse = ~0u;
-  std::vector<uint32_t> TempLastUse;
 };
 
 /// \returns the mnemonic of \p Op (for the printer and diagnostics).

@@ -17,6 +17,7 @@
 #include "ir/IR.h"
 
 #include <cassert>
+#include <utility>
 
 namespace llsc {
 namespace ir {
@@ -25,7 +26,20 @@ namespace ir {
 class IRBuilder {
 public:
   /// Starts a fresh block beginning at guest address \p GuestPc.
-  explicit IRBuilder(uint64_t GuestPc) { Block.GuestPc = GuestPc; }
+  explicit IRBuilder(uint64_t GuestPc) : IRBuilder(GuestPc, IRBlock()) {}
+
+  /// Starts a fresh block at \p GuestPc in the storage of \p Recycled:
+  /// its contents are dropped, the capacity of its vectors is kept. The
+  /// translator hands its per-thread block back and forth this way, so
+  /// building a block does not regrow a new vector each time.
+  IRBuilder(uint64_t GuestPc, IRBlock Recycled) : Block(std::move(Recycled)) {
+    Block.Insts.clear();
+    Block.Helpers.clear();
+    Block.GuestPc = GuestPc;
+    Block.GuestInstCount = 0;
+    Block.NumValues = FirstTempId;
+    Block.InstrumentOpCount = 0;
+  }
 
   /// While set, every emitted op is tagged IRFlagInstrument. Schemes set
   /// this around their injected code so the profiler and tests can tell

@@ -134,19 +134,48 @@ void recountInstrumentOps(IRBlock &Block) {
   Block.InstrumentOpCount = Count;
 }
 
+/// A guest store forwardStoresToLoads still trusts.
+struct TrackedStore {
+  ValueId Base;
+  int64_t Offset;
+  uint8_t Size;
+  ValueId Value;
+};
+
+/// The passes' working arrays, one set per optimizing thread. Each pass
+/// resizes and refills the arrays it uses before reading them, so only
+/// their capacity carries over from one block to the next.
+struct OptScratch {
+  std::vector<std::optional<uint64_t>> Known; ///< foldConstants.
+  std::vector<ValueId> CopyOf;                ///< propagateCopies.
+  std::vector<uint32_t> CopyGen;
+  std::vector<uint32_t> DefGen;
+  std::vector<bool> Live; ///< eliminateDeadOps.
+  std::vector<bool> Keep;
+  std::vector<TrackedStore> Stores; ///< forwardStoresToLoads.
+};
+
+OptScratch &scratch() {
+  thread_local OptScratch Scratch;
+  return Scratch;
+}
+
 } // namespace
 
 OptStats ir::foldConstants(IRBlock &Block) {
   OptStats Stats;
-  std::vector<std::optional<uint64_t>> Known(Block.NumValues, std::nullopt);
+  std::vector<std::optional<uint64_t>> &Known = scratch().Known;
+  Known.assign(Block.NumValues, std::nullopt);
 
-  std::vector<IRInst> NewInsts;
-  NewInsts.reserve(Block.Insts.size());
+  // Rewrites Block.Insts in place: every input yields at most one output,
+  // so the write index never overtakes the read index.
+  size_t Out = 0;
   bool Truncated = false;
 
-  for (IRInst I : Block.Insts) {
+  for (size_t In = 0; In < Block.Insts.size(); ++In) {
     if (Truncated)
       break;
+    IRInst I = Block.Insts[In];
 
     auto KnownVal = [&](ValueId Id) { return Known[Id]; };
     auto Define = [&](ValueId Id, std::optional<uint64_t> Value) {
@@ -225,10 +254,10 @@ OptStats ir::foldConstants(IRBlock &Block) {
       else
         Define(I.Dst, std::nullopt);
     }
-    NewInsts.push_back(I);
+    Block.Insts[Out++] = I;
   }
 
-  Block.Insts = std::move(NewInsts);
+  Block.Insts.resize(Out);
   recountInstrumentOps(Block);
   return Stats;
 }
@@ -240,10 +269,14 @@ OptStats ir::propagateCopies(IRBlock &Block) {
   // Redefining S bumps DefGen[S], which invalidates every copy of S at
   // once instead of scanning all values for them. A value that is no
   // copy is its own source.
-  std::vector<ValueId> CopyOf(Block.NumValues);
+  OptScratch &S = scratch();
+  std::vector<ValueId> &CopyOf = S.CopyOf;
+  CopyOf.resize(Block.NumValues);
   std::iota(CopyOf.begin(), CopyOf.end(), ValueId(0));
-  std::vector<uint32_t> CopyGen(Block.NumValues, 0);
-  std::vector<uint32_t> DefGen(Block.NumValues, 0);
+  std::vector<uint32_t> &CopyGen = S.CopyGen;
+  CopyGen.assign(Block.NumValues, 0);
+  std::vector<uint32_t> &DefGen = S.DefGen;
+  DefGen.assign(Block.NumValues, 0);
 
   auto Resolve = [&](ValueId V) {
     // Single-step resolution is enough because we canonicalize on insert.
@@ -303,12 +336,15 @@ bool observesAllRegs(IROp Op) {
 
 OptStats ir::eliminateDeadOps(IRBlock &Block) {
   OptStats Stats;
-  std::vector<bool> Live(Block.NumValues, false);
+  OptScratch &S = scratch();
+  std::vector<bool> &Live = S.Live;
+  Live.assign(Block.NumValues, false);
   // All guest registers are live-out of every block.
   for (ValueId V = 0; V < FirstTempId; ++V)
     Live[V] = true;
 
-  std::vector<bool> Keep(Block.Insts.size(), true);
+  std::vector<bool> &Keep = S.Keep;
+  Keep.assign(Block.Insts.size(), true);
   for (size_t Index = Block.Insts.size(); Index-- > 0;) {
     const IRInst &I = Block.Insts[Index];
     bool DefinesDeadValue = writesDst(I.Op) && !Live[I.Dst];
@@ -331,12 +367,11 @@ OptStats ir::eliminateDeadOps(IRBlock &Block) {
   }
 
   if (Stats.DeadOpsRemoved) {
-    std::vector<IRInst> NewInsts;
-    NewInsts.reserve(Block.Insts.size() - Stats.DeadOpsRemoved);
+    size_t Out = 0;
     for (size_t Index = 0; Index < Block.Insts.size(); ++Index)
       if (Keep[Index])
-        NewInsts.push_back(Block.Insts[Index]);
-    Block.Insts = std::move(NewInsts);
+        Block.Insts[Out++] = Block.Insts[Index];
+    Block.Insts.resize(Out);
     recountInstrumentOps(Block);
   }
   return Stats;
@@ -344,13 +379,8 @@ OptStats ir::eliminateDeadOps(IRBlock &Block) {
 
 OptStats ir::forwardStoresToLoads(IRBlock &Block) {
   OptStats Stats;
-  struct TrackedStore {
-    ValueId Base;
-    int64_t Offset;
-    uint8_t Size;
-    ValueId Value;
-  };
-  std::vector<TrackedStore> Stores;
+  std::vector<TrackedStore> &Stores = scratch().Stores;
+  Stores.clear();
 
   auto InvalidateAll = [&] { Stores.clear(); };
   auto InvalidateValue = [&](ValueId Def) {

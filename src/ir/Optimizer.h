@@ -32,6 +32,8 @@ struct OptStats {
   unsigned ConstantsFolded = 0;
   unsigned CopiesPropagated = 0;
   unsigned DeadOpsRemoved = 0;
+
+  bool operator==(const OptStats &Other) const = default;
 };
 
 /// Folds ops whose operands are known constants into MovImm, and rewrites

@@ -16,13 +16,26 @@
 using namespace llsc;
 using namespace llsc::ir;
 
+namespace {
+
+/// The block being built, optimized and verified, one per translating
+/// thread. Its vectors keep their capacity from block to block; the cache
+/// only ever receives an exact-size copy.
+IRBlock &scratchBlock() {
+  thread_local IRBlock Scratch;
+  return Scratch;
+}
+
+} // namespace
+
 Translator::Translator(GuestMemory &Mem, const input::InputArch &Arch,
                        ir::TranslationHooks *Hooks,
                        const TranslatorConfig &Config)
     : Mem(Mem), Arch(Arch), Hooks(Hooks), Config(Config) {}
 
 ErrorOr<IRBlock> Translator::translateBlock(uint64_t StartPc) {
-  IRBuilder Builder(StartPc);
+  IRBlock &Scratch = scratchBlock();
+  IRBuilder Builder(StartPc, std::move(Scratch));
   uint64_t Pc = StartPc;
   bool Terminated = false;
 
@@ -34,8 +47,10 @@ ErrorOr<IRBlock> Translator::translateBlock(uint64_t StartPc) {
 
     input::LowerContext Ctx{Builder, Hooks, Pc, Config.RuleBasedAtomics};
     auto ResultOrErr = Arch.lowerInst(Mem, Ctx);
-    if (!ResultOrErr)
+    if (!ResultOrErr) {
+      Scratch = Builder.take();
       return ResultOrErr.error();
+    }
     const input::LowerResult Result = *ResultOrErr;
     assert(Result.BytesConsumed >= Arch.instBytes() &&
            "frontend consumed no code");
@@ -48,35 +63,24 @@ ErrorOr<IRBlock> Translator::translateBlock(uint64_t StartPc) {
     Terminated = Result.EndsBlock;
   }
 
-  IRBlock Block = Builder.take();
+  Scratch = Builder.take();
   Stats.BlocksTranslated.fetch_add(1, std::memory_order_relaxed);
-  Stats.GuestInstsTranslated.fetch_add(Block.GuestInstCount,
+  Stats.GuestInstsTranslated.fetch_add(Scratch.GuestInstCount,
                                        std::memory_order_relaxed);
-  Stats.IROpsEmitted.fetch_add(Block.Insts.size(),
+  Stats.IROpsEmitted.fetch_add(Scratch.Insts.size(),
                                std::memory_order_relaxed);
 
   if (Config.Optimize)
-    ir::optimize(Block);
-  Stats.IROpsAfterOpt.fetch_add(Block.Insts.size(),
+    ir::optimize(Scratch);
+  Stats.IROpsAfterOpt.fetch_add(Scratch.Insts.size(),
                                 std::memory_order_relaxed);
 
   if (Config.Verify) {
-    auto VerifyResult = ir::verify(Block);
+    auto VerifyResult = ir::verify(Scratch);
     if (!VerifyResult)
       return VerifyResult.error();
   }
 
-  // Liveness metadata for the tier-1 JIT's linear scan, computed after
-  // optimization so it reflects the instruction stream that executes.
-  // One forward pass: the last instruction referencing a value — as an
-  // operand or as its (re)definition — wins.
-  Block.TempLastUse.assign(Block.NumValues, IRBlock::NoUse);
-  for (uint32_t I = 0; I < Block.Insts.size(); ++I) {
-    const IRInst &Inst = Block.Insts[I];
-    Block.TempLastUse[Inst.A] = I;
-    Block.TempLastUse[Inst.B] = I;
-    if (writesDst(Inst.Op))
-      Block.TempLastUse[Inst.Dst] = I;
-  }
-  return Block;
+  // The block the cache keeps: a copy at exactly the optimized size.
+  return IRBlock(Scratch);
 }

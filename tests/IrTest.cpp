@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace llsc;
 using namespace llsc::ir;
 
@@ -320,6 +322,69 @@ TEST(IrOptimizer, CopyPropMatchesQuadraticReferenceOnLongBlocks) {
     EXPECT_EQ(LinearStats.CopiesPropagated, ReferenceStats.CopiesPropagated);
     EXPECT_GT(LinearStats.CopiesPropagated, 0u);
   }
+}
+
+namespace {
+
+/// A short block that defines many fresh temps, some constant and some
+/// dead, so its value count sits below or above copyPropBlock()'s.
+IRBlock wideBlock(Rng &R, unsigned Temps) {
+  IRBuilder B(0x1000);
+  std::vector<ValueId> Values{IRBuilder::guestReg(1), IRBuilder::guestReg(2)};
+  for (unsigned N = 0; N < Temps; ++N) {
+    ValueId A = Values[R.nextBelow(Values.size())];
+    Values.push_back(R.nextBelow(3) == 0
+                         ? B.emitMovImm(static_cast<int64_t>(R.nextBelow(50)))
+                         : B.emitBinImm(IROp::AddImm, A, 1));
+  }
+  B.emitMovTo(IRBuilder::guestReg(3), Values[Values.size() / 2]);
+  B.emitSetPcImm(0x2000);
+  return B.take();
+}
+
+struct OptOutcome {
+  std::string Printed;
+  OptStats Stats;
+};
+
+OptOutcome optimizeCopy(IRBlock Block) {
+  OptStats Stats = optimize(Block);
+  return {printBlock(Block), Stats};
+}
+
+} // namespace
+
+/// The passes keep their working arrays per thread and reuse them. The 40
+/// long blocks of CopyPropMatchesQuadraticReferenceOnLongBlocks,
+/// interleaved with short blocks of fewer and of more values and run on
+/// one thread in two orders, must optimize exactly as each does alone on
+/// a fresh thread.
+TEST(IrOptimizer, ReusedScratchMatchesFreshThreads) {
+  Rng R(0xc0b1e5);
+  Rng Small(0x5ca1ab1e);
+  std::vector<IRBlock> Blocks;
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    Blocks.push_back(copyPropBlock(R, 500 + 100 * Trial));
+    Blocks.push_back(
+        wideBlock(Small, 3 + static_cast<unsigned>(Small.nextBelow(300))));
+  }
+
+  std::vector<OptOutcome> Fresh;
+  for (const IRBlock &Block : Blocks)
+    std::thread([&] { Fresh.push_back(optimizeCopy(Block)); }).join();
+
+  std::thread([&] {
+    for (size_t I = 0; I < Blocks.size(); ++I) {
+      OptOutcome Forward = optimizeCopy(Blocks[I]);
+      ASSERT_EQ(Forward.Printed, Fresh[I].Printed) << "block " << I;
+      EXPECT_EQ(Forward.Stats, Fresh[I].Stats) << "block " << I;
+    }
+    for (size_t I = Blocks.size(); I-- > 0;) {
+      OptOutcome Backward = optimizeCopy(Blocks[I]);
+      ASSERT_EQ(Backward.Printed, Fresh[I].Printed) << "block " << I;
+      EXPECT_EQ(Backward.Stats, Fresh[I].Stats) << "block " << I;
+    }
+  }).join();
 }
 
 TEST(IrOptimizer, BrCondConstantFolding) {

@@ -23,11 +23,14 @@
 
 #include "core/Machine.h"
 #include "engine/jit/Jit.h"
+#include "engine/jit/JitCompiler.h"
+#include "engine/jit/X86Emitter.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <fstream>
@@ -632,4 +635,101 @@ TEST(JitCodeCache, ColdReloadsRecycleOneSpareRegion) {
   EXPECT_LE(WriteViews, 2u);
   EXPECT_LE(ExecViews, 2u);
   EXPECT_GE(ExecViews, 1u);
+}
+
+// --- Per-thread compile scratch ---------------------------------------------
+
+namespace {
+
+/// One block's compile output: its bytes and fixups, or nothing on a bail.
+struct CompiledBody {
+  bool Ok = false;
+  std::vector<uint8_t> Bytes;
+  std::vector<std::array<uint32_t, 3>> Fixups; ///< {Kind, Offset, Target}.
+
+  bool operator==(const CompiledBody &) const = default;
+};
+
+/// Compiles \p Block the way Jit::compile does, into an emitter and fixup
+/// list the caller reuses across blocks.
+CompiledBody compileWith(const CachedBlock &Block, jit::X86Emitter &Em,
+                         std::vector<jit::Fixup> &Fixups) {
+  Em.clear();
+  Fixups.clear();
+  CompiledBody Body;
+  Body.Ok = jit::compileBlock(Block, Em, Fixups);
+  Body.Bytes.assign(Em.data(), Em.data() + Em.size());
+  for (const jit::Fixup &F : Fixups)
+    Body.Fixups.push_back({F.K, F.Offset, F.Target});
+  return Body;
+}
+
+/// Every block statically reachable from \p M's entry, translated.
+std::vector<const CachedBlock *> reachableBlocks(Machine &M) {
+  std::vector<const CachedBlock *> Blocks;
+  std::vector<uint64_t> Work{M.program().entryAddr()};
+  std::set<uint64_t> Seen(Work.begin(), Work.end());
+  while (!Work.empty()) {
+    uint64_t Pc = Work.back();
+    Work.pop_back();
+    auto BlockOrErr = M.cache().lookup(Pc, M.translator());
+    EXPECT_TRUE(bool(BlockOrErr)) << BlockOrErr.error().render();
+    if (!BlockOrErr)
+      break;
+    Blocks.push_back(*BlockOrErr);
+    for (const ir::IRInst &I : (*BlockOrErr)->IR.Insts)
+      if ((I.Op == ir::IROp::BrCond || I.Op == ir::IROp::SetPcImm) &&
+          Seen.insert(static_cast<uint64_t>(I.Imm)).second)
+        Work.push_back(static_cast<uint64_t>(I.Imm));
+  }
+  return Blocks;
+}
+
+} // namespace
+
+/// The compiler keeps its emitter, fixup list and register-allocation
+/// arrays per thread and reuses them (docs/JIT.md "Compile-time memory").
+/// One set of blocks of every size and instrumentation style, compiled on
+/// one thread forwards and then backwards, must produce exactly the bytes
+/// and fixups each block gets compiled alone on a fresh thread.
+TEST(JitScratch, ReusedScratchEmitsSameBytesAsFreshThreads) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "tier-1 JIT not available on this build/host";
+
+  std::vector<std::unique_ptr<Machine>> Machines;
+  std::vector<const CachedBlock *> Blocks;
+  Rng R(0x5c7a7c4);
+  for (SchemeKind Kind : {SchemeKind::Hst, SchemeKind::HstHelper,
+                          SchemeKind::PicoSt, SchemeKind::PstRemap}) {
+    for (int Program = 0; Program < 4; ++Program) {
+      auto M = makeMachine(Kind, /*Jit=*/false);
+      ASSERT_TRUE(bool(M->loadAssembly(randomProgram(R))));
+      M->prepareRun();
+      for (const CachedBlock *Block : reachableBlocks(*M))
+        Blocks.push_back(Block);
+      Machines.push_back(std::move(M));
+    }
+  }
+  ASSERT_GT(Blocks.size(), 40u);
+
+  std::vector<CompiledBody> Fresh;
+  for (const CachedBlock *Block : Blocks)
+    std::thread([&] {
+      jit::X86Emitter Em;
+      std::vector<jit::Fixup> Fixups;
+      Fresh.push_back(compileWith(*Block, Em, Fixups));
+    }).join();
+
+  std::thread([&] {
+    jit::X86Emitter Em;
+    std::vector<jit::Fixup> Fixups;
+    for (size_t I = 0; I < Blocks.size(); ++I)
+      EXPECT_EQ(compileWith(*Blocks[I], Em, Fixups), Fresh[I])
+          << "block " << I << " compiled forwards";
+    for (size_t I = Blocks.size(); I-- > 0;)
+      EXPECT_EQ(compileWith(*Blocks[I], Em, Fixups), Fresh[I])
+          << "block " << I << " compiled backwards";
+  }).join();
+  EXPECT_TRUE(std::all_of(Fresh.begin(), Fresh.end(),
+                          [](const CompiledBody &B) { return B.Ok; }));
 }

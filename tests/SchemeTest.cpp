@@ -218,6 +218,75 @@ lost:   .quad 0
       << "plain stores overwritten by a stale SC";
 }
 
+namespace {
+
+/// The program of HstHtm.PlainStoresSurviveConcurrentScs: vCPU 0
+/// plain-stores a new high word into `var` while three vCPUs LL/SC-
+/// increment its low word, reads back after a short delay, and counts in
+/// `lost` each store an SC overwrote with the previous high word.
+constexpr const char *PlainStoreRaceProgram = R"(
+_start: la      r1, var
+        cbz     r0, writer
+        li      r4, #3000
+inc:    cbz     r4, done
+retry:  ldxr.d  r2, [r1]
+        addi    r2, r2, #1
+        stxr.d  r3, r2, [r1]
+        cbnz    r3, retry
+        addi    r4, r4, #-1
+        b       inc
+writer: la      r10, lost
+        li      r4, #3000
+        movz    r5, #0
+wloop:  cbz     r4, done
+        addi    r5, r5, #1
+        lsli    r6, r5, #32
+        std     r6, [r1]
+        li      r7, #20
+delay:  addi    r7, r7, #-1
+        cbnz    r7, delay
+        ldd     r2, [r1]
+        lsri    r2, r2, #32
+        beq     r2, r5, kept
+        ldd     r8, [r10]
+        addi    r8, r8, #1
+        std     r8, [r10]
+kept:   addi    r4, r4, #-1
+        b       wloop
+done:   halt
+        .align 4096
+var:    .quad 0
+        .align 4096
+lost:   .quad 0
+)";
+
+/// Runs PlainStoreRaceProgram on 4 free-running vCPUs under \p Scheme.
+/// \returns how many of vCPU 0's plain stores an SC overwrote.
+uint64_t lostPlainStores(SchemeKind Scheme) {
+  auto M = makeMachine(Scheme, 4);
+  EXPECT_TRUE(bool(M->loadAssembly(PlainStoreRaceProgram)));
+  auto Result = M->run({});
+  EXPECT_TRUE(bool(Result)) << Result.error().render();
+  EXPECT_TRUE(Result && Result->AllHalted);
+  return M->mem().shadowLoad(M->program().requiredSymbol("lost"), 8);
+}
+
+} // namespace
+
+/// HST and HST-HELPER: a plain store tags, then writes; an LL landing
+/// between the two re-tags the entry and loads the old value. The SC's
+/// table check then passes, so it must also find the value its LL loaded
+/// (docs/SCHEMES.md "hst").
+TEST(Hst, PlainStoresSurviveConcurrentScs) {
+  EXPECT_EQ(lostPlainStores(SchemeKind::Hst), 0u)
+      << "plain stores overwritten by a stale SC";
+}
+
+TEST(HstHelper, PlainStoresSurviveConcurrentScs) {
+  EXPECT_EQ(lostPlainStores(SchemeKind::HstHelper), 0u)
+      << "plain stores overwritten by a stale SC";
+}
+
 /// PST: LL protects the page; conflicting stores fault and are recovered;
 /// matching stores break the monitor; non-matching are false sharing.
 TEST(Pst, FalseSharingVsConflict) {
